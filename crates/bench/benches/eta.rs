@@ -3,7 +3,7 @@
 //!
 //! The `eta_sweep_*` pair pins the before/after of the parallel expansion
 //! engine on the medium city: `sequential` drives the epoch-batched
-//! frontier inline (the retained `run_sequential` reference), `parallel`
+//! frontier inline (the `run_with_threads(mode, 1)` reference), `parallel`
 //! fans expansion out over all cores through the work-stealing pool. Both
 //! produce bit-identical plans (asserted here before measuring); the gap
 //! between them is the engine's multicore speedup, recorded into
@@ -61,14 +61,14 @@ fn bench_eta(c: &mut Criterion) {
     for (mode, label) in [(PlannerMode::Eta, "online"), (PlannerMode::EtaPre, "pre")] {
         // The determinism contract the speedup rests on.
         assert_eq!(
-            planner.run_sequential(mode).best,
+            planner.run_with_threads(mode, 1).best,
             planner.run_with_threads(mode, threads).best,
             "parallel plan diverged from sequential reference"
         );
         group.bench_with_input(
             BenchmarkId::new(format!("eta_sweep_{label}_sequential"), "medium"),
             &planner,
-            |b, p| b.iter(|| p.run_sequential(mode)),
+            |b, p| b.iter(|| p.run_with_threads(mode, 1)),
         );
         group.bench_with_input(
             BenchmarkId::new(format!("eta_sweep_{label}_parallel"), "medium"),

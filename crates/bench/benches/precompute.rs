@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ct_core::precompute::{compute_deltas, compute_deltas_reference};
+use ct_core::precompute::{compute_deltas_reference, compute_deltas_with_threads};
 use ct_core::{CandidateSet, CtBusParams, Precomputed};
 use ct_data::{CityConfig, DemandModel};
 use ct_linalg::ConnectivityEstimator;
@@ -51,6 +51,7 @@ fn bench_precompute(c: &mut Criterion) {
         let estimator =
             ConnectivityEstimator::new(base.n(), &params.trace_params(), params.probe_seed);
         let base_trace = estimator.trace_exp(&base).unwrap().max(f64::MIN_POSITIVE);
+        let threads = params.parallelism.worker_threads();
         group.bench_with_input(
             BenchmarkId::new("delta_sweep_legacy_rebuild", name),
             &cands,
@@ -61,7 +62,17 @@ fn bench_precompute(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("delta_sweep_overlay_batched", name),
             &cands,
-            |b, cands| b.iter(|| compute_deltas(black_box(cands), &base, &estimator, base_trace)),
+            |b, cands| {
+                b.iter(|| {
+                    compute_deltas_with_threads(
+                        black_box(cands),
+                        &base,
+                        &estimator,
+                        base_trace,
+                        threads,
+                    )
+                })
+            },
         );
 
         // Reparameterization must be orders of magnitude cheaper.

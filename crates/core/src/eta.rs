@@ -13,7 +13,8 @@
 //! check. With `batch = 1` this is exactly the paper's sequential
 //! poll-one-expand-one loop; larger batches preserve best-first order up
 //! to the batch boundary. Results are bit-identical under any thread
-//! count (enforced by tests against [`Planner::run_sequential`]).
+//! count (enforced by tests against the single-threaded
+//! [`Planner::run_with_threads`]`(mode, 1)` reference).
 //!
 //! Variants (paper §7):
 //!
@@ -128,7 +129,7 @@ pub struct RunResult {
 /// assert!(!result.best.is_empty());
 /// assert!(result.best.num_edges() <= planner.params().k);
 /// // Thread count never changes the answer (see docs/ALGORITHMS.md):
-/// let reference = planner.run_sequential(PlannerMode::EtaPre);
+/// let reference = planner.run_with_threads(PlannerMode::EtaPre, 1);
 /// assert_eq!(result.best, reference.best);
 /// ```
 pub struct Planner<'a> {
@@ -166,17 +167,12 @@ impl<'a> Planner<'a> {
         self.run_with_threads(mode, self.params.parallelism.worker_threads())
     }
 
-    /// The retained single-threaded reference: the same epoch-batched
-    /// algorithm as [`Planner::run`], executed inline. Parallel runs are
-    /// bit-identical to this under any thread count (everything in
-    /// [`RunResult`] except `runtime_secs`); tests and proptests enforce
-    /// the equality.
-    pub fn run_sequential(&self, mode: PlannerMode) -> RunResult {
-        self.run_with_threads(mode, 1)
-    }
-
     /// [`Planner::run`] with an explicit worker count (exposed for the
-    /// thread-invariance tests and benches).
+    /// thread-invariance tests and benches). `threads = 1` is the
+    /// single-threaded reference: the same epoch-batched algorithm,
+    /// executed inline. Every other thread count is bit-identical to it
+    /// (everything in [`RunResult`] except `runtime_secs`); tests and
+    /// proptests enforce the equality.
     pub fn run_with_threads(&self, mode: PlannerMode, threads: usize) -> RunResult {
         execute_plan(self.city, &self.params, &self.pre, mode, threads)
     }
@@ -395,7 +391,7 @@ mod tests {
         let (city, demand, mut params) = planner_fixture();
         params.parallelism.batch = 1;
         let planner = Planner::new(&city, &demand, params);
-        let seq = planner.run_sequential(PlannerMode::EtaPre);
+        let seq = planner.run_with_threads(PlannerMode::EtaPre, 1);
         let par = planner.run_with_threads(PlannerMode::EtaPre, 3);
         assert_eq!(seq.best, par.best);
         assert_eq!(seq.trace, par.trace);

@@ -12,7 +12,7 @@
 //!    an [`ExpandCtx`] — a `Send` context borrowing the city and
 //!    pre-computation immutably and owning thread-local Lanczos/overlay
 //!    scratch. Workers pull batch indices off an atomic counter (work
-//!    stealing, same discipline as `precompute::compute_deltas`); every
+//!    stealing, same discipline as `precompute::sweep_deltas`); every
 //!    expansion is a pure function of the drained path and the frozen
 //!    probes, so the schedule cannot affect values.
 //! 3. **Merge** (sequential): results are applied in batch index order —
@@ -24,8 +24,8 @@
 //! exactly; larger batches trade strict best-first order for parallelism.
 //! The batch size is a parameter of the *algorithm* (fixed per run), the
 //! thread count is a parameter of the *machine* (never observable in the
-//! output). `Planner::run_sequential` drives this same loop inline and is
-//! the reference the parallel path is tested against.
+//! output). `Planner::run_with_threads(mode, 1)` drives this same loop
+//! inline and is the reference the parallel path is tested against.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};

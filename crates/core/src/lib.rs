@@ -26,7 +26,7 @@
 //!    ablations ETA-ALL / ETA-AN / ETA-DT — plus the demand-first vk-TSP
 //!    baseline. The frontier expansion fans out over a work-stealing
 //!    thread pool ([`Parallelism`]) while staying bit-identical to the
-//!    retained sequential reference [`eta::Planner::run_sequential`];
+//!    single-threaded [`eta::Planner::run_with_threads`] reference;
 //! 5. [`metrics`] scores plans with the paper's transfer-convenience
 //!    metrics (Table 6) and [`baselines`] implements the connectivity-first
 //!    comparison (Fig. 6);
@@ -72,7 +72,6 @@ pub mod scorer;
 #[deny(clippy::unwrap_used, clippy::expect_used)]
 pub mod serve;
 pub mod session;
-pub mod shard;
 pub mod sites;
 
 pub use augment::{
@@ -99,5 +98,4 @@ pub use serve::{
     validate_ticket, CommitOutcome, CommitTicket, ServePolicy, ServeState, ServeStats, Snapshot,
 };
 pub use session::{CommitSummary, PlanningSession, RefreshPolicy};
-pub use shard::ShardLayout;
 pub use sites::{select_sites, SelectedSite, SiteParams, SiteSelection};

@@ -10,8 +10,11 @@
 //!   top eigenvalues of the base adjacency, and the Lemma 4 path bound the
 //!   online planner uses as its connectivity upper bound.
 //!
-//! The Δ(e) sweep is embarrassingly parallel and is spread over all cores
-//! with scoped threads pulling candidate ids off an atomic work-stealing
+//! Every Δ(e) estimate goes through one sweep, `sweep_deltas`, which
+//! takes the method, the ids to score, and a workspace pool; the cold build
+//! and every session commit call it. The paired-probe sweep is
+//! embarrassingly parallel and is spread over the configured workers with
+//! scoped threads pulling candidate ids off an atomic work-stealing
 //! counter. Each worker owns one [`LanczosWorkspace`] and one reusable
 //! [`EdgeOverlay`], so the steady-state sweep performs **no** heap
 //! allocations and **no** per-candidate CSR rebuilds: a candidate is scored
@@ -35,7 +38,6 @@ use crate::bounds::path_bound;
 use crate::candidates::CandidateSet;
 use crate::params::CtBusParams;
 use crate::ranked::RankedList;
-use crate::shard::ShardLayout;
 
 /// How per-edge connectivity increments `Δ(e)` are pre-computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,7 +54,7 @@ pub enum DeltaMethod {
     Perturbation,
 }
 
-/// How [`Precomputed::assemble_with_spectrum`] builds the spectrum head
+/// How [`Precomputed::assemble`] builds the spectrum head
 /// (`top_eigs` + optional Ritz basis) for the Lemma 3/4 bounds.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) enum SpectrumMode<'a> {
@@ -113,11 +115,6 @@ pub struct Precomputed {
     /// `None` on the exact path, which stays bit-identical to the
     /// historical cold start.
     pub spectrum_basis: Option<Arc<Vec<Vec<f64>>>>,
-    /// Spatial shard classification of the candidate pool (see
-    /// [`crate::shard`]); `None` when planning unsharded. A locality hint
-    /// only — never part of the bit-identity surface (every shard count
-    /// produces identical numerical state).
-    pub shard_layout: Option<Arc<ShardLayout>>,
     /// Frozen-probe estimator shared by all scoring.
     pub estimator: ConnectivityEstimator,
     /// Base adjacency matrix.
@@ -153,39 +150,21 @@ impl Precomputed {
             .expect("base trace estimation succeeds")
             .max(f64::MIN_POSITIVE);
 
-        // Spatial shard layout, when the parallelism knobs ask for one.
-        // Built before the sweep so the paired-probe path can partition its
-        // id set; a layout that degenerates to one shard is dropped.
-        let shards = params.parallelism.resolve_shards(city.road.num_nodes());
-        let shard_layout = (shards > 1)
-            .then(|| Arc::new(ShardLayout::build(&city.road, &candidates, shards)))
-            .filter(|l| l.num_shards() > 1);
-
         // ctlint::allow(wall-clock): reported as delta_secs only, never read back by the kernels
         let t1 = Instant::now();
-        let delta = match (method, &shard_layout) {
-            (DeltaMethod::PairedProbes, Some(layout)) => compute_deltas_sharded_with_threads(
-                layout,
-                &candidates,
-                &base_adj,
-                &estimator,
-                base_trace,
-                params.parallelism.worker_threads(),
-            ),
-            (DeltaMethod::PairedProbes, None) => compute_deltas_with_threads(
-                &candidates,
-                &base_adj,
-                &estimator,
-                base_trace,
-                params.parallelism.worker_threads(),
-            ),
-            (DeltaMethod::Perturbation, _) => compute_deltas_perturbation(
-                &candidates,
-                &base_adj,
-                base_trace,
-                params.lanczos_steps.max(12),
-            ),
-        };
+        let mut delta = vec![0.0f64; candidates.len()];
+        sweep_deltas(
+            method,
+            &candidates,
+            &base_adj,
+            &estimator,
+            base_trace,
+            params.lanczos_steps,
+            params.parallelism.worker_threads(),
+            &new_candidate_ids(&candidates),
+            &mut Vec::new(),
+            &mut delta,
+        );
         let connectivity_secs = t1.elapsed().as_secs_f64();
 
         Self::assemble(
@@ -196,7 +175,7 @@ impl Precomputed {
             estimator,
             params,
             PrecomputeTimings { shortest_path_secs, connectivity_secs },
-            shard_layout,
+            SpectrumMode::Cold,
         )
     }
 
@@ -210,6 +189,12 @@ impl Precomputed {
     /// refresh): both feed it the same ingredients, so a committed session's
     /// artifacts are bit-identical to a from-scratch rebuild by
     /// construction.
+    ///
+    /// `SpectrumMode::Cold` reproduces the historical cold start
+    /// bit-for-bit (same RNG stream, same column budget, no basis kept).
+    /// `SpectrumMode::Warm` is the approximate refresh tier: a smaller
+    /// head re-converged from the previous commit's Ritz vectors, with the
+    /// new vectors retained in `spectrum_basis` for the next commit.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         candidates: CandidateSet,
@@ -219,39 +204,7 @@ impl Precomputed {
         estimator: ConnectivityEstimator,
         params: &CtBusParams,
         timings: PrecomputeTimings,
-        shard_layout: Option<Arc<ShardLayout>>,
-    ) -> Precomputed {
-        Self::assemble_with_spectrum(
-            candidates,
-            delta,
-            base_adj,
-            base_trace,
-            estimator,
-            params,
-            timings,
-            SpectrumMode::Cold,
-            shard_layout,
-        )
-    }
-
-    /// [`Precomputed::assemble`] with an explicit spectrum strategy.
-    ///
-    /// `SpectrumMode::Cold` reproduces the historical cold start
-    /// bit-for-bit (same RNG stream, same column budget, no basis kept).
-    /// `SpectrumMode::Warm` is the approximate refresh tier: a smaller
-    /// head re-converged from the previous commit's Ritz vectors, with the
-    /// new vectors retained in `spectrum_basis` for the next commit.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble_with_spectrum(
-        candidates: CandidateSet,
-        delta: Vec<f64>,
-        base_adj: CsrMatrix,
-        base_trace: f64,
-        estimator: ConnectivityEstimator,
-        params: &CtBusParams,
-        timings: PrecomputeTimings,
         spectrum: SpectrumMode<'_>,
-        shard_layout: Option<Arc<ShardLayout>>,
     ) -> Precomputed {
         let base_lambda = base_trace.ln() - (base_adj.n() as f64).ln();
 
@@ -312,7 +265,6 @@ impl Precomputed {
             top_eigs,
             conn_path_ub,
             spectrum_basis,
-            shard_layout,
             estimator,
             base_adj,
             timings,
@@ -359,7 +311,6 @@ impl Precomputed {
             top_eigs: self.top_eigs.clone(),
             conn_path_ub,
             spectrum_basis: self.spectrum_basis.clone(),
-            shard_layout: self.shard_layout.clone(),
             estimator: self.estimator.clone(),
             base_adj: self.base_adj.clone(),
             timings: self.timings,
@@ -367,84 +318,80 @@ impl Precomputed {
     }
 }
 
-/// Estimates `Δ(e)` for every new candidate in parallel.
+/// The ids of every candidate whose Δ(e) is estimated: the non-existing
+/// ones (existing transit edges keep Δ = 0).
+pub(crate) fn new_candidate_ids(candidates: &CandidateSet) -> Vec<u32> {
+    (0..candidates.len() as u32).filter(|&i| !candidates.edge(i).existing).collect()
+}
+
+/// The Δ(e) sweep: estimates `Δ(e)` under `method` for exactly the
+/// candidates in `ids`, writing `delta[id]` and leaving every other slot
+/// untouched.
+///
+/// A cold build passes every new candidate ([`new_candidate_ids`]) into a
+/// zeroed vector; an approximate commit passes only the corridor-touched
+/// subset into the carried-forward vector. Each swept Δ(e) is a pure
+/// function of the frozen probes (or, for [`DeltaMethod::Perturbation`],
+/// of the base matrix), so it is bit-identical whatever the id subset and
+/// the worker count.
+///
+/// `workspaces` is the caller's persistent pool: it grows to `threads`
+/// workspaces and keeps their buffers across calls, so a long-lived
+/// session re-sweeps without steady-state heap allocations.
+///
+/// # Panics
+/// Panics if an id is out of range for `delta`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sweep_deltas(
+    method: DeltaMethod,
+    candidates: &CandidateSet,
+    base: &CsrMatrix,
+    estimator: &ConnectivityEstimator,
+    base_trace: f64,
+    lanczos_steps: usize,
+    threads: usize,
+    ids: &[u32],
+    workspaces: &mut Vec<LanczosWorkspace>,
+    delta: &mut [f64],
+) {
+    if ids.is_empty() {
+        return;
+    }
+    let threads = threads.max(1);
+    if workspaces.len() < threads {
+        workspaces.resize_with(threads, LanczosWorkspace::new);
+    }
+    match method {
+        DeltaMethod::PairedProbes => sweep_paired_probes(
+            candidates,
+            base,
+            estimator,
+            base_trace,
+            &mut workspaces[..threads.min(ids.len())],
+            ids,
+            delta,
+        ),
+        DeltaMethod::Perturbation => sweep_perturbation(
+            candidates,
+            base,
+            base_trace,
+            lanczos_steps.max(12),
+            &mut workspaces[0],
+            ids,
+            delta,
+        ),
+    }
+}
+
+/// The paired-probe arm of [`sweep_deltas`], one worker thread per
+/// workspace.
 ///
 /// Workers pull candidate ids off a shared atomic counter (work stealing:
 /// skewed pools no longer leave cores idle behind a static partition) and
 /// score each candidate through an [`EdgeOverlay`] of the base matrix with
-/// a thread-local [`LanczosWorkspace`] — zero CSR rebuilds, zero steady-
-/// state allocations. Every Δ(e) is a pure function of the frozen probes,
-/// so the output is invariant under the worker count.
-///
-/// Uses all available cores; [`Precomputed::build_with`] routes the
-/// workspace-wide [`crate::Parallelism`] knob through
-/// [`compute_deltas_with_threads`] instead.
-pub fn compute_deltas(
-    candidates: &CandidateSet,
-    base: &CsrMatrix,
-    estimator: &ConnectivityEstimator,
-    base_trace: f64,
-) -> Vec<f64> {
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    compute_deltas_with_threads(candidates, base, estimator, base_trace, threads)
-}
-
-/// [`compute_deltas`] with an explicit worker count (exposed for the
-/// thread-invariance tests and benches).
-#[doc(hidden)]
-pub fn compute_deltas_with_threads(
-    candidates: &CandidateSet,
-    base: &CsrMatrix,
-    estimator: &ConnectivityEstimator,
-    base_trace: f64,
-    threads: usize,
-) -> Vec<f64> {
-    let mut workspaces: Vec<LanczosWorkspace> =
-        (0..threads.max(1)).map(|_| LanczosWorkspace::new()).collect();
-    compute_deltas_in(candidates, base, estimator, base_trace, &mut workspaces)
-}
-
-/// [`compute_deltas`] over caller-owned [`LanczosWorkspace`]s: one worker
-/// thread per workspace, each reusing its workspace's buffers across
-/// candidates *and across calls*.
-///
-/// Long-lived planning sessions hold their workspace pool across commits,
-/// so a re-sweep after absorbing a route performs no steady-state heap
-/// allocations at all. Output is identical to [`compute_deltas`] for any
-/// pool size (every Δ(e) is a pure function of the frozen probes).
-///
-/// # Panics
-/// Panics if `workspaces` is empty — zero workers would silently return
-/// all-zero deltas.
-pub fn compute_deltas_in(
-    candidates: &CandidateSet,
-    base: &CsrMatrix,
-    estimator: &ConnectivityEstimator,
-    base_trace: f64,
-    workspaces: &mut [LanczosWorkspace],
-) -> Vec<f64> {
-    let n = candidates.len();
-    let mut delta = vec![0.0f64; n];
-    let ids: Vec<u32> = (0..n as u32).filter(|&i| !candidates.edge(i).existing).collect();
-    compute_deltas_scoped(candidates, base, estimator, base_trace, workspaces, &ids, &mut delta);
-    delta
-}
-
-/// The Δ(e) sweep restricted to an explicit id set: estimates `Δ(e)` for
-/// exactly the candidates in `ids`, writing into `delta[id]` and leaving
-/// every other slot untouched.
-///
-/// This is the approximate refresh tier's entry point — a commit that only
-/// touched a corridor subset re-scores that subset in O(touched) instead of
-/// O(all). [`compute_deltas_in`] is the all-ids special case; each swept
-/// Δ(e) is bit-identical to what the full sweep would store (pure function
-/// of the frozen probes, invariant under the worker count and the id-set
-/// partition).
-///
-/// # Panics
-/// Panics if `workspaces` is empty while `ids` is not, or if an id is out
-/// of range for `delta`.
-pub(crate) fn compute_deltas_scoped(
+/// their own [`LanczosWorkspace`] — zero CSR rebuilds, zero steady-state
+/// allocations.
+fn sweep_paired_probes(
     candidates: &CandidateSet,
     base: &CsrMatrix,
     estimator: &ConnectivityEstimator,
@@ -453,18 +400,12 @@ pub(crate) fn compute_deltas_scoped(
     ids: &[u32],
     delta: &mut [f64],
 ) {
-    if ids.is_empty() {
-        return;
-    }
-    assert!(!workspaces.is_empty(), "compute_deltas_scoped needs at least one workspace");
-
-    let threads = workspaces.len().min(ids.len());
+    let threads = workspaces.len();
     let next = AtomicUsize::new(0);
     let next = &next;
     let results: Vec<Vec<(u32, f64)>> = std::thread::scope(|s| {
         let handles: Vec<_> = workspaces
             .iter_mut()
-            .take(threads)
             .map(|ws| {
                 s.spawn(move || {
                     let mut overlay = EdgeOverlay::empty(base);
@@ -497,114 +438,39 @@ pub(crate) fn compute_deltas_scoped(
     }
 }
 
-/// The spatially sharded Δ(e) sweep (see [`crate::shard`]), allocating its
-/// own workspace pool (exposed for benches and the equivalence tests).
-///
-/// Phase 1 sweeps shard-local candidates shard-parallel: workers steal
-/// whole shards off an atomic counter and score each shard's pool
-/// sequentially with a thread-local workspace. Phase 2 stitches boundary
-/// candidates (corridors touching ≥ 2 shards) through the same global
-/// [`compute_deltas_scoped`] path the unsharded sweep uses. Every Δ(e) is
-/// a pure function of the frozen probes, so the output is bit-identical to
-/// [`compute_deltas_with_threads`] for any shard and worker count.
+/// Estimates `Δ(e)` for every new candidate with the paired-probe method
+/// on `threads` workers (the public entry point the benches and the
+/// end-to-end benchmark time; [`Precomputed::build_with`] runs the same
+/// sweep). Output is invariant under `threads`.
 #[doc(hidden)]
-pub fn compute_deltas_sharded_with_threads(
-    layout: &ShardLayout,
+pub fn compute_deltas_with_threads(
     candidates: &CandidateSet,
     base: &CsrMatrix,
     estimator: &ConnectivityEstimator,
     base_trace: f64,
     threads: usize,
 ) -> Vec<f64> {
-    let mut workspaces: Vec<LanczosWorkspace> =
-        (0..threads.max(1)).map(|_| LanczosWorkspace::new()).collect();
     let mut delta = vec![0.0f64; candidates.len()];
-    compute_deltas_sharded(
-        layout,
+    sweep_deltas(
+        DeltaMethod::PairedProbes,
         candidates,
         base,
         estimator,
         base_trace,
-        &mut workspaces,
+        0, // Lanczos steps: read by the perturbation arm only
+        threads,
+        &new_candidate_ids(candidates),
+        &mut Vec::new(),
         &mut delta,
     );
     delta
 }
 
-/// [`compute_deltas_sharded_with_threads`] over a caller-owned workspace
-/// pool, writing into `delta` in place (the session refresh path).
-pub(crate) fn compute_deltas_sharded(
-    layout: &ShardLayout,
-    candidates: &CandidateSet,
-    base: &CsrMatrix,
-    estimator: &ConnectivityEstimator,
-    base_trace: f64,
-    workspaces: &mut [LanczosWorkspace],
-    delta: &mut [f64],
-) {
-    // Phase 1: shard-parallel local sweep. Each worker steals shard
-    // indices and sweeps that shard's pool with its own workspace — the
-    // per-candidate math is identical to `compute_deltas_scoped`, only the
-    // id-set partition differs, which cannot change any Δ(e).
-    let pools: Vec<&[u32]> =
-        (0..layout.num_shards()).map(|s| layout.local(s)).filter(|p| !p.is_empty()).collect();
-    if !pools.is_empty() {
-        assert!(!workspaces.is_empty(), "compute_deltas_sharded needs at least one workspace");
-        let threads = workspaces.len().min(pools.len());
-        let next = AtomicUsize::new(0);
-        let next = &next;
-        let pools = &pools;
-        let results: Vec<Vec<(u32, f64)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = workspaces
-                .iter_mut()
-                .take(threads)
-                .map(|ws| {
-                    s.spawn(move || {
-                        let mut overlay = EdgeOverlay::empty(base);
-                        let mut out = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(pool) = pools.get(idx) else { break };
-                            out.reserve(pool.len());
-                            for &id in *pool {
-                                let e = candidates.edge(id);
-                                overlay.set_edges(&[(e.u, e.v)]);
-                                let inc = match estimator.trace_exp_in(&overlay, ws) {
-                                    Ok(tr) => (tr.max(f64::MIN_POSITIVE) / base_trace).ln(),
-                                    Err(_) => 0.0,
-                                };
-                                out.push((id, inc.max(0.0)));
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard worker does not panic")).collect()
-        });
-        for part in results {
-            for (id, inc) in part {
-                delta[id as usize] = inc;
-            }
-        }
-    }
-
-    // Phase 2: boundary stitching through the global overlay path.
-    compute_deltas_scoped(
-        candidates,
-        base,
-        estimator,
-        base_trace,
-        workspaces,
-        layout.boundary(),
-        delta,
-    );
-}
-
 /// The pre-overlay Δ(e) sweep: statically chunked threads, one full CSR
 /// rebuild per candidate, one sequential SLQ pass per probe. Kept verbatim
 /// as the before/after baseline for the `precompute` bench and the
-/// equivalence tests; produces bit-identical Δ(e) to [`compute_deltas`].
+/// equivalence tests; produces bit-identical Δ(e) to
+/// [`compute_deltas_with_threads`].
 #[doc(hidden)]
 pub fn compute_deltas_reference(
     candidates: &CandidateSet,
@@ -612,9 +478,8 @@ pub fn compute_deltas_reference(
     estimator: &ConnectivityEstimator,
     base_trace: f64,
 ) -> Vec<f64> {
-    let n = candidates.len();
-    let mut delta = vec![0.0f64; n];
-    let ids: Vec<u32> = (0..n as u32).filter(|&i| !candidates.edge(i).existing).collect();
+    let mut delta = vec![0.0f64; candidates.len()];
+    let ids = new_candidate_ids(candidates);
     if ids.is_empty() {
         return delta;
     }
@@ -654,7 +519,8 @@ pub fn compute_deltas_reference(
     delta
 }
 
-/// Second-order perturbation estimate of all Δ(e) (see [`DeltaMethod`]).
+/// The perturbation arm of [`sweep_deltas`]: a second-order estimate of
+/// Δ(e) (see [`DeltaMethod`]).
 ///
 /// For the rank-2 perturbation `E = e_u e_vᵀ + e_v e_uᵀ` (u ≠ v):
 ///
@@ -670,36 +536,12 @@ pub fn compute_deltas_reference(
 /// and systematically *underestimates* slightly (all omitted terms are
 /// positive for adjacency matrices); a conservative, noise-free surrogate.
 /// One Lanczos column solve per endpoint stop covers all incident edges.
-pub(crate) fn compute_deltas_perturbation(
+fn sweep_perturbation(
     candidates: &CandidateSet,
     base: &CsrMatrix,
     base_trace: f64,
     lanczos_steps: usize,
-) -> Vec<f64> {
-    let n = candidates.len();
-    let mut delta = vec![0.0f64; n];
-    let ids: Vec<u32> = (0..n as u32).filter(|&i| !candidates.edge(i).existing).collect();
-    compute_deltas_perturbation_scoped(
-        candidates,
-        base,
-        base_trace,
-        lanczos_steps,
-        &ids,
-        &mut delta,
-    );
-    delta
-}
-
-/// [`compute_deltas_perturbation`] restricted to an explicit id set (the
-/// approximate refresh tier's scoped re-score); writes `delta[id]` for
-/// exactly the ids given, leaving other slots untouched. Per-id output is
-/// identical to the full sweep's (the estimate is deterministic and
-/// per-edge).
-pub(crate) fn compute_deltas_perturbation_scoped(
-    candidates: &CandidateSet,
-    base: &CsrMatrix,
-    base_trace: f64,
-    lanczos_steps: usize,
+    ws: &mut LanczosWorkspace,
     ids: &[u32],
     delta: &mut [f64],
 ) {
@@ -716,12 +558,11 @@ pub(crate) fn compute_deltas_perturbation_scoped(
         .collect();
     needed.sort_unstable();
     needed.dedup();
-    let mut ws = LanczosWorkspace::new();
     let mut col = Vec::new();
     let columns: Vec<Option<Vec<f64>>> = needed
         .iter()
         .map(|&u| {
-            expm_column_in(base, u as usize, lanczos_steps, &mut ws, &mut col)
+            expm_column_in(base, u as usize, lanczos_steps, ws, &mut col)
                 .is_ok()
                 .then(|| col.clone())
         })
@@ -915,7 +756,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sweep_is_bit_identical_to_unsharded() {
+    fn subset_sweep_writes_only_its_ids_with_full_sweep_values() {
+        // The approximate commit re-scores an id subset into a carried-
+        // forward vector: every other slot must stay untouched and every
+        // swept slot must hold the full sweep's bits, for both methods and
+        // any worker count.
+        use rand::Rng;
         let (city, demand, params) = setup();
         let candidates =
             CandidateSet::build(&city, &demand, params.tau_m, params.max_detour_factor);
@@ -923,37 +769,38 @@ mod tests {
         let estimator =
             ConnectivityEstimator::new(base.n(), &params.trace_params(), params.probe_seed);
         let base_trace = estimator.trace_exp(&base).unwrap().max(f64::MIN_POSITIVE);
-        let reference = compute_deltas_with_threads(&candidates, &base, &estimator, base_trace, 2);
-        for shards in [1usize, 2, 4, 16] {
-            let layout = ShardLayout::build(&city.road, &candidates, shards);
-            for threads in [1usize, 3] {
-                let sharded = compute_deltas_sharded_with_threads(
-                    &layout,
+        let all = new_candidate_ids(&candidates);
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let subset: Vec<u32> = all.iter().copied().filter(|_| rng.gen_bool(0.3)).collect();
+        assert!(!subset.is_empty() && subset.len() < all.len());
+
+        for method in [DeltaMethod::PairedProbes, DeltaMethod::Perturbation] {
+            let sweep = |ids: &[u32], threads: usize, delta: &mut [f64]| {
+                sweep_deltas(
+                    method,
                     &candidates,
                     &base,
                     &estimator,
                     base_trace,
+                    params.lanczos_steps,
                     threads,
-                );
-                assert_eq!(sharded, reference, "shards={shards} threads={threads}");
+                    ids,
+                    &mut Vec::new(),
+                    delta,
+                )
+            };
+            let mut full = vec![0.0f64; candidates.len()];
+            sweep(&all, 2, &mut full);
+            for threads in [1, 3] {
+                let mut delta = vec![-1.0f64; candidates.len()];
+                sweep(&subset, threads, &mut delta);
+                for (id, &got) in delta.iter().enumerate() {
+                    let want =
+                        if subset.binary_search(&(id as u32)).is_ok() { full[id] } else { -1.0 };
+                    assert_eq!(got, want, "{method:?} threads={threads} id={id}");
+                }
             }
         }
-    }
-
-    #[test]
-    fn build_with_shards_produces_identical_state() {
-        let (city, demand, params) = setup();
-        let reference = Precomputed::build(&city, &demand, &params);
-        assert!(reference.shard_layout.is_none());
-        let mut sharded_params = params;
-        sharded_params.parallelism.shards = 4;
-        let sharded = Precomputed::build(&city, &demand, &sharded_params);
-        assert!(sharded.shard_layout.is_some());
-        assert_eq!(sharded.delta, reference.delta);
-        assert_eq!(sharded.base_trace, reference.base_trace);
-        assert_eq!(sharded.top_eigs, reference.top_eigs);
-        assert_eq!(sharded.d_max, reference.d_max);
-        assert_eq!(sharded.lambda_max, reference.lambda_max);
     }
 
     #[test]

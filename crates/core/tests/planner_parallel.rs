@@ -1,7 +1,7 @@
 //! Determinism contract of the parallel expansion engine: for every
 //! `PlannerMode` and any thread count, `Planner::run` must be
-//! **bit-identical** to the retained single-threaded reference
-//! `Planner::run_sequential` — same best plan, same convergence trace,
+//! **bit-identical** to the single-threaded reference
+//! `Planner::run_with_threads(mode, 1)` — same best plan, same convergence trace,
 //! same iteration and evaluation counts. Only wall-clock time may differ.
 //!
 //! The contract holds because each expansion is a pure function of the
@@ -13,7 +13,7 @@ use ct_data::{City, CityConfig, DemandModel};
 use proptest::prelude::*;
 
 fn assert_runs_identical(planner: &Planner<'_>, mode: PlannerMode, threads: usize) {
-    let reference = planner.run_sequential(mode);
+    let reference = planner.run_with_threads(mode, 1);
     let parallel = planner.run_with_threads(mode, threads);
     assert_eq!(parallel.best, reference.best, "{mode:?} best diverged at threads={threads}");
     assert_eq!(parallel.trace, reference.trace, "{mode:?} trace diverged at threads={threads}");
@@ -82,7 +82,7 @@ proptest! {
         params.lanczos_steps = 6;
         let mode = PlannerMode::ALL[mode_idx];
         let planner = Planner::new(&city, &demand, params);
-        let reference = planner.run_sequential(mode);
+        let reference = planner.run_with_threads(mode, 1);
         for threads in [2usize, 4] {
             let parallel = planner.run_with_threads(mode, threads);
             prop_assert_eq!(&parallel.best, &reference.best);

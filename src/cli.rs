@@ -29,7 +29,9 @@
 //! * `gtfs-export --city city.json --out dir` / `gtfs-import --gtfs dir
 //!   --city city.json --out city2.json` — GTFS round trip.
 //!
-//! Argument parsing is hand-rolled (no CLI dependency) and unit-tested.
+//! Argument parsing is hand-rolled (no CLI dependency) and unit-tested. A
+//! subcommand accepts exactly the flags its [`USAGE`] line lists; any
+//! other flag is a usage error naming it.
 
 use std::collections::HashMap;
 
@@ -70,17 +72,40 @@ USAGE:
   ctbus generate --preset <small|medium|chicago|nyc|manhattan|queens|brooklyn|staten-island|bronx>
                  [--seed N] [--trajectories N] [--out city.json]
   ctbus stats    --city city.json
-  ctbus plan     --city city.json [--k N] [--w F] [--tau M] [--tn N]
-                 [--mode eta|eta-pre|vk-tsp] [--geojson out.geojson]
-  ctbus multi    --city city.json --routes N [--k N] [--w F] [--shards N]
-  ctbus sites    --city city.json [--n N] [--w F] [--walk M] [--gap M] [--routes N]
+  ctbus plan     --city city.json [--mode eta|eta-pre|vk-tsp] [--geojson out.geojson]
+                 [--k N] [--w F] [--tau M] [--tn N] [--sn N] [--it-max N]
+  ctbus multi    --city city.json --routes N [--mode eta|eta-pre|vk-tsp]
+                 [--k N] [--w F] [--tau M] [--tn N] [--sn N] [--it-max N]
+  ctbus sites    --city city.json [--n N] [--w F] [--walk M] [--gap M]
+                 [--routes N] [--mode eta|eta-pre|vk-tsp]
+                 [--k N] [--tau M] [--tn N] [--sn N] [--it-max N]
   ctbus augment  --city city.json [--k N] [--pool N] [--no-bound true]
+                 [--w F] [--tau M] [--tn N] [--sn N] [--it-max N]
   ctbus serve    --city city.json [--requests N] [--threads N] [--commit-every N]
-                 [--chaos SEED] [--refresh exact|approximate]
-                 [--k N] [--w F] [--mode eta|eta-pre|vk-tsp] [--shards N]
+                 [--chaos SEED] [--refresh exact|approximate] [--mode eta|eta-pre|vk-tsp]
+                 [--k N] [--w F] [--tau M] [--tn N] [--sn N] [--it-max N]
   ctbus gtfs-export --city city.json --out <dir>
   ctbus gtfs-import --gtfs <dir> --city city.json [--out city2.json]
 ";
+
+/// The flags the [`USAGE`] line of `command` (continuation lines included)
+/// lists, without their `--`.
+fn usage_flags(command: &str) -> Vec<&'static str> {
+    let mut flags = Vec::new();
+    let mut inside = false;
+    for line in USAGE.lines() {
+        if let Some(rest) = line.trim_start().strip_prefix("ctbus ") {
+            inside = rest.split_whitespace().next() == Some(command);
+        }
+        if inside {
+            flags.extend(
+                line.split_whitespace()
+                    .filter_map(|w| w.trim_start_matches('[').strip_prefix("--")),
+            );
+        }
+    }
+    flags
+}
 
 impl Cli {
     /// Parses `args` (without the program name).
@@ -101,11 +126,15 @@ impl Cli {
         ) {
             return Err(UsageError(format!("unknown subcommand `{command}`")));
         }
+        let allowed = usage_flags(&command);
         let mut options = HashMap::new();
         while let Some(flag) = it.next() {
             let key = flag
                 .strip_prefix("--")
                 .ok_or_else(|| UsageError(format!("expected --flag, got `{flag}`")))?;
+            if !allowed.contains(&key) {
+                return Err(UsageError(format!("unknown flag `{flag}` for `{command}`")));
+            }
             let value = it.next().ok_or_else(|| UsageError(format!("--{key} needs a value")))?;
             options.insert(key.to_string(), value);
         }
@@ -174,11 +203,6 @@ impl Cli {
         }
         if let Some(it) = self.get::<u64>("it-max")? {
             p.it_max = it;
-        }
-        // Spatial shards for the Δ-sweep and commit refresh; an execution
-        // strategy only — results are bit-identical at any count.
-        if let Some(shards) = self.get::<usize>("shards")? {
-            p.parallelism.shards = shards;
         }
         let problems = p.validate();
         if !problems.is_empty() {
@@ -294,18 +318,10 @@ impl Cli {
                     }
                     let p = &result.best;
                     let summary = session.commit(p);
-                    let shard_note = if summary.shards_total > 0 {
-                        format!(
-                            ", {}/{} shards skipped",
-                            summary.shards_skipped, summary.shards_total
-                        )
-                    } else {
-                        String::new()
-                    };
                     writeln!(
                         out,
                         "  #{}: {} edges ({} new), demand {:.0}, conn +{:.5} \
-                         [commit: {} road edges zeroed, {} candidates refreshed{}, {:.2}s]",
+                         [commit: {} road edges zeroed, {} candidates refreshed, {:.2}s]",
                         i + 1,
                         p.num_edges(),
                         p.num_new_edges(),
@@ -313,7 +329,6 @@ impl Cli {
                         p.conn_increment,
                         summary.covered_road_edges,
                         summary.refreshed_candidates,
-                        shard_note,
                         summary.refresh_secs
                     )
                     .map_err(w)?;
@@ -716,11 +731,19 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_reaches_parallelism() {
-        let cli = Cli::parse(args("multi --city c.json --routes 2 --shards 4")).unwrap();
-        assert_eq!(cli.params().unwrap().parallelism.shards, 4);
-        let cli = Cli::parse(args("plan --city c.json")).unwrap();
-        assert_eq!(cli.params().unwrap().parallelism.shards, 0);
+    fn unknown_flags_are_rejected() {
+        // A removed flag and a typo both fail loudly and name the flag.
+        for (line, flag) in
+            [("plan --city c.json --shards 4", "`--shards`"), ("serve --thread 2", "`--thread`")]
+        {
+            let err = Cli::parse(args(line)).unwrap_err();
+            assert!(err.0.contains(flag), "{}", err.0);
+        }
+        // A flag is accepted only by the subcommands whose usage lists it.
+        assert!(Cli::parse(args("serve --city c.json --threads 2")).is_ok());
+        assert!(Cli::parse(args("plan --city c.json --threads 2")).is_err());
+        assert_eq!(usage_flags("stats"), ["city"]);
+        assert!(usage_flags("generate").contains(&"trajectories"));
     }
 
     #[test]
